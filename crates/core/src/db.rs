@@ -105,10 +105,6 @@ pub struct Database {
     catalog: RwLock<Catalog>,
     stores: RwLock<HashMap<u32, Arc<dyn VersionStore>>>,
     indexes: RwLock<HashMap<(u32, u16), Arc<BTree>>>,
-    /// Per-type time index: B⁺-tree over `(tt boundary, atom_no)` — every
-    /// transaction time at which an atom of the type changed (a version
-    /// started or ended). Powers [`Database::atoms_changed_in`].
-    time_indexes: RwLock<HashMap<u32, Arc<BTree>>>,
     wal: Wal,
     /// Transaction-time *allocation* clock: the last tt handed to a
     /// committing transaction (drawn under `wal_order`).
@@ -233,7 +229,6 @@ impl Database {
             catalog: RwLock::new(catalog),
             stores: RwLock::new(HashMap::new()),
             indexes: RwLock::new(HashMap::new()),
-            time_indexes: RwLock::new(HashMap::new()),
             wal,
             clock: AtomicU64::new(0),
             published: AtomicU64::new(0),
@@ -247,7 +242,10 @@ impl Database {
             next_no: Mutex::new(HashMap::new()),
             commit_lock: RwLock::new(()),
             txns_since_ckpt: AtomicU64::new(0),
-            skip_checkpoint_on_drop: AtomicBool::new(false),
+            // Set until `open` succeeds: a database that failed to open
+            // may hold an unpublished recovery clock, and its drop must
+            // not run a checkpoint that would wait for it forever.
+            skip_checkpoint_on_drop: AtomicBool::new(true),
             replica: AtomicBool::new(false),
             file_names: Mutex::new(Vec::new()),
             obs: Arc::new(Registry::new()),
@@ -269,8 +267,6 @@ impl Database {
                         db.indexes.write().insert((t.id.0, attr_id as u16), idx);
                     }
                 }
-                let tix = db.open_or_create_time_index(t.id, false)?;
-                db.time_indexes.write().insert(t.id.0, tix);
             }
         }
 
@@ -278,6 +274,7 @@ impl Database {
         // checks read merged (heap + segment) histories.
         db.load_segments()?;
         db.recover()?;
+        db.skip_checkpoint_on_drop.store(false, Ordering::Release);
         Ok(db)
     }
 
@@ -622,19 +619,6 @@ impl Database {
         }))
     }
 
-    fn open_or_create_time_index(&self, ty: AtomTypeId, fresh: bool) -> Result<Arc<BTree>> {
-        let name = format!("t{}_tix.tcm", ty.0);
-        if fresh {
-            let _ = self.vfs.remove(&self.dir.join(&name));
-        }
-        let (file, existed) = self.register(name, false)?;
-        Ok(Arc::new(if existed && !fresh {
-            BTree::open(self.pool.clone(), file)?
-        } else {
-            BTree::create(self.pool.clone(), file)?
-        }))
-    }
-
     // ---- DDL ----
 
     /// Defines a new atom type (with its storage and index files) and
@@ -661,8 +645,6 @@ impl Database {
                 }
             }
         }
-        let tix = self.open_or_create_time_index(id, true)?;
-        self.time_indexes.write().insert(id.0, tix);
         self.catalog.read().save(self.dir.join("catalog.tcat"))?;
         // New (empty) files must survive a crash without WAL coverage.
         self.sync_pages()?;
@@ -963,7 +945,7 @@ impl Database {
 
     /// Index range scan over an indexed attribute's **current** values:
     /// returns atoms having a current version whose encoded attribute value
-    /// lies in `[lo_enc, hi_enc)`.
+    /// lies in `[lo_enc, hi_enc)`, each once, in ascending atom number.
     pub fn index_range(
         &self,
         ty: AtomTypeId,
@@ -983,6 +965,9 @@ impl Database {
                 out.push(AtomId::new(ty, AtomNo(k.lo)));
                 Ok(true)
             })?;
+            // Entries sort by value first: an atom whose current slices
+            // carry several values in range appears once per value.
+            out.sort_unstable();
             out.dedup();
             Ok(out)
         })
@@ -1009,6 +994,7 @@ impl Database {
                 out.push(AtomId::new(ty, AtomNo(k.lo)));
                 Ok(true)
             })?;
+            out.sort_unstable();
             out.dedup();
             Ok(out)
         })
@@ -1052,60 +1038,26 @@ impl Database {
         Ok(())
     }
 
-    /// Records that `atom` changed at transaction time `tt`
-    /// (called under the commit lock).
-    pub(crate) fn note_change(&self, atom: AtomId, tt: TimePoint) -> Result<()> {
+    /// Records that `atom` changed (called under the commit lock): keeps
+    /// the planner's cached statistics honest.
+    pub(crate) fn note_change(&self, atom: AtomId) {
         self.stats.note(atom.ty.0);
-        if let Some(tix) = self.time_indexes.read().get(&atom.ty.0).cloned() {
-            tix.insert(BKey::new(tt.0, atom.no.0), atom.no.0)?;
-        }
-        Ok(())
     }
 
     /// The atoms of `ty` that changed (a version started or ended) at any
-    /// transaction time in `window` — answered from the time index without
-    /// touching version chains.
+    /// transaction time in `window`, in ascending atom number — answered by
+    /// the store from its transaction-time index and segment fences,
+    /// without walking version chains.
     pub fn atoms_changed_in(&self, ty: AtomTypeId, window: Interval) -> Result<Vec<AtomId>> {
-        let tix = self
-            .time_indexes
-            .read()
-            .get(&ty.0)
-            .cloned()
-            .ok_or_else(|| Error::UnknownSchemaObject(format!("time index for type #{}", ty.0)))?;
+        let store = self.store(ty)?;
         self.read_stable(ty, || {
-            let mut out = Vec::new();
-            tix.scan_range(
-                BKey::min_for(window.start().0),
-                BKey::min_for(window.end().0),
-                |k, _| {
-                    out.push(AtomId::new(ty, AtomNo(k.lo)));
-                    Ok(true)
-                },
-            )?;
-            out.sort();
-            out.dedup();
-            Ok(out)
+            let mut atoms = std::collections::BTreeSet::new();
+            store.changed_in(window, &mut atoms)?;
+            Ok(atoms
+                .into_iter()
+                .map(|no| AtomId::new(ty, AtomNo(no)))
+                .collect())
         })
-    }
-
-    /// Rebuilds every time index from the stores (recovery / post-prune).
-    fn rebuild_time_indexes(&self) -> Result<()> {
-        let catalog = self.catalog.read();
-        for t in catalog.atom_types() {
-            let store = self.store(t.id)?;
-            let tix = self.open_or_create_time_index(t.id, true)?;
-            store.scan_atoms(&mut |no| {
-                for v in store.history(no)? {
-                    tix.insert(BKey::new(v.tt.start().0, no.0), no.0)?;
-                    if !v.tt.end().is_forever() {
-                        tix.insert(BKey::new(v.tt.end().0, no.0), no.0)?;
-                    }
-                }
-                Ok(true)
-            })?;
-            self.time_indexes.write().insert(t.id.0, tix);
-        }
-        Ok(())
     }
 
     // ---- checkpoint & recovery ----
@@ -1183,8 +1135,16 @@ impl Database {
     }
 
     /// Recovery: replays committed transactions from the WAL with
-    /// idempotent application, rebuilds value indexes when anything was
-    /// replayed, and checkpoints.
+    /// idempotent application, rebuilds the value and time indexes when
+    /// the WAL held committed work, and checkpoints.
+    ///
+    /// Everything here runs under buffer-pool pressure: replay and the
+    /// rebuilds flush (journal-protected) whenever half the no-steal pool
+    /// is dirty, at points where no page is pinned. A flush may persist a
+    /// partly replayed transaction or a partly rebuilt index; that is safe
+    /// because nothing truncates the WAL before the final checkpoint, so a
+    /// power cut in between sends the next open through the same
+    /// idempotent replay and the same rebuilds again.
     fn recover(&self) -> Result<()> {
         let _span = self.obs.span("db.recover");
         // Pass 1 — a streaming cursor (O(#transactions) memory, never the
@@ -1214,7 +1174,6 @@ impl Database {
 
         // Pass 2 — replay committed transactions in log order, again
         // through a bounded cursor rather than a materialized record list.
-        let mut replayed_any = false;
         let mut cursor = self.wal.read_from(Lsn(0))?;
         while let Some((_, rec)) = cursor.next_record()? {
             match rec {
@@ -1226,13 +1185,17 @@ impl Database {
                     tuple,
                 } if committed.contains(&txn.0) => {
                     let store = self.store(atom.ty)?;
+                    // A stored copy of this version is visible at its own
+                    // start (netting never stores an empty tt extent), so
+                    // the slice at `tt_start` finds it without reading the
+                    // atom's whole history or every segment.
                     let already = store
-                        .history(atom.no)?
+                        .versions_at(atom.no, tt_start)?
                         .iter()
                         .any(|v| v.vt == vt && v.tt.start() == tt_start && v.tuple == tuple);
                     if !already {
                         store.insert_version(atom.no, vt, tt_start, &tuple)?;
-                        replayed_any = true;
+                        self.flush_if_pressured()?;
                     }
                     // Counters advance regardless.
                     let mut m = self.next_no.lock();
@@ -1256,14 +1219,12 @@ impl Database {
                         .any(|v| v.vt.start() == vt_start && v.tt.start() < tt_end);
                     if target_is_older {
                         store.close_version(atom.no, vt_start, tt_end)?;
-                        replayed_any = true;
+                        self.flush_if_pressured()?;
                     }
                     self.clock.fetch_max(tt_end.0, Ordering::AcqRel);
                 }
                 LogRecord::Commit { txn } => {
                     self.clock.fetch_max(txn.0, Ordering::AcqRel);
-                    // Transaction boundary: safe flush point under pressure.
-                    self.flush_if_pressured()?;
                 }
                 LogRecord::SegmentSwap { ty, cutoff, .. } => {
                     // Redo the heap extraction of a segment that is
@@ -1282,6 +1243,7 @@ impl Database {
                     })?;
                     for no in atoms {
                         store.extract_closed(no, cutoff)?;
+                        self.flush_if_pressured()?;
                     }
                     // As in `compact_type`: repack the lazily-pruned
                     // time index so slices don't scan emptied leaves.
@@ -1291,19 +1253,19 @@ impl Database {
             }
         }
 
-        if replayed_any {
+        // Rebuild whenever the log holds committed work, not only when
+        // this replay wrote something: an earlier recovery may have
+        // flushed a partial rebuild before a power cut, and its replay
+        // then finds every primitive already applied. Both rebuilds derive
+        // the entries from the stores and write only what differs.
+        if !committed.is_empty() {
             self.rebuild_indexes()?;
-            self.rebuild_time_indexes()?;
-            // Replay maintained the per-store transaction-time interval
-            // indexes incrementally through the store primitives; rebuild
-            // them from the heaps anyway — replay starts from whatever
-            // partial flush survived the crash, and the rebuild makes the
-            // index authoritative regardless of what that flush contained.
-            let catalog = self.catalog.read();
-            for t in catalog.atom_types() {
-                self.store(t.id)?.rebuild_time_index()?;
+            let type_ids: Vec<AtomTypeId> =
+                self.with_catalog(|c| c.atom_types().iter().map(|t| t.id).collect());
+            for ty in type_ids {
+                self.store(ty)?
+                    .rebuild_time_index(&mut || self.flush_if_pressured())?;
             }
-            drop(catalog);
         }
         // Every replayed commit is now in the stores: publish the whole
         // clock before checkpointing (whose drain waits for exactly that).
@@ -1314,26 +1276,49 @@ impl Database {
         Ok(())
     }
 
-    /// Drops and rebuilds every value index from the stores' current state.
+    /// Rebuilds every value index from the stores' current state. Atom
+    /// numbers and entries are collected first; the index is then
+    /// reconciled in batches with pressure flushes between them, so the
+    /// rebuild never holds more dirty frames than one batch writes.
     fn rebuild_indexes(&self) -> Result<()> {
-        let catalog = self.catalog.read();
-        for t in catalog.atom_types() {
-            let store = self.store(t.id)?;
-            for (i, a) in t.attrs.iter().enumerate() {
-                if !a.indexed {
-                    continue;
-                }
-                let attr = AttrId(i as u16);
-                let idx = self.open_or_create_index(t.id, attr, true)?;
-                store.scan_atoms(&mut |no| {
-                    for v in store.current_versions(no)? {
+        let types: Vec<(AtomTypeId, Vec<usize>)> = self.with_catalog(|c| {
+            c.atom_types()
+                .iter()
+                .map(|t| {
+                    let attrs = (0..t.attrs.len()).filter(|&i| t.attrs[i].indexed);
+                    (t.id, attrs.collect())
+                })
+                .collect()
+        });
+        for (ty, attrs) in types {
+            if attrs.is_empty() {
+                continue;
+            }
+            let store = self.store(ty)?;
+            let mut atoms = Vec::new();
+            store.scan_atoms(&mut |no| {
+                atoms.push(no);
+                Ok(true)
+            })?;
+            let mut want: Vec<Vec<(BKey, u64)>> = vec![Vec::new(); attrs.len()];
+            for no in atoms {
+                for v in store.current_versions(no)? {
+                    for (entries, &i) in want.iter_mut().zip(&attrs) {
                         if let Some(enc) = encode_value(v.tuple.get(i)) {
-                            idx.insert(BKey::new(enc, no.0), no.0)?;
+                            entries.push((BKey::new(enc, no.0), no.0));
                         }
                     }
-                    Ok(true)
+                }
+            }
+            for (mut entries, &i) in want.into_iter().zip(&attrs) {
+                entries.sort_unstable_by_key(|e| e.0);
+                entries.dedup_by_key(|e| e.0);
+                let idx = self.index(ty, AttrId(i as u16)).ok_or_else(|| {
+                    Error::internal(format!("value index #{i} of type #{} not open", ty.0))
                 })?;
-                self.indexes.write().insert((t.id.0, attr.0), idx);
+                idx.reconcile(&entries, INDEX_REBUILD_BATCH, &mut || {
+                    self.flush_if_pressured()
+                })?;
             }
         }
         Ok(())
@@ -1373,9 +1358,6 @@ impl Database {
                 for no in atoms {
                     removed += store.prune(no, cutoff)? as u64;
                 }
-            }
-            if removed > 0 {
-                self.rebuild_time_indexes()?;
             }
             Ok(())
         })();
@@ -1721,6 +1703,9 @@ impl Drop for Database {
         }
     }
 }
+
+/// Value-index writes between two pressure checks of a recovery rebuild.
+const INDEX_REBUILD_BATCH: usize = 64;
 
 /// The segment manifest: the durable list of live segment files. Rewritten
 /// atomically (via [`SEGMENT_MANIFEST_TMP`] + rename) after every swap.

@@ -10,9 +10,10 @@
 //! 1. appends the batch to the replica's **own** WAL and makes it durable
 //!    first — a crash mid-apply recovers through the ordinary
 //!    [`Database::recover`] path, no replication-specific redo exists;
-//! 2. re-applies the mutation primitives to the version stores, maintains
-//!    the transaction-time index ([`Database::note_change`]) and the value
-//!    indexes incrementally, and raises the atom-number allocators past
+//! 2. re-applies the mutation primitives to the version stores (which
+//!    maintain their own transaction-time indexes), notes the changes for
+//!    the planner's statistics, maintains the value indexes
+//!    incrementally, and raises the atom-number allocators past
 //!    every replicated number (a promoted replica never reuses one);
 //! 3. republishes the transaction time via `publish_replicated`, making
 //!    the commit visible to snapshot reads on the replica.
@@ -355,7 +356,7 @@ impl WalApplier {
                 }
             }
             for atom in &changed {
-                db.note_change(*atom, tt)?;
+                db.note_change(*atom);
             }
             for atom in &changed {
                 let after: Vec<Tuple> = db

@@ -89,6 +89,15 @@ impl<'db> Txn<'db> {
         Ok(())
     }
 
+    /// Takes the commit stripe of `ty` now (a no-op when already held).
+    /// A statement that looks up its targets through a value index calls
+    /// this before probing: once the stripe is held no other commit to
+    /// the type can apply, so the committed index state the probe sees
+    /// stays exactly the state this transaction's writes will replace.
+    pub fn lock_type(&mut self, ty: AtomTypeId) -> Result<()> {
+        self.ensure_stripe(ty)
+    }
+
     fn release_stripes(&mut self) {
         for (idx, h) in self.held.iter_mut().enumerate() {
             if *h {
@@ -382,10 +391,10 @@ impl<'db> Txn<'db> {
                     }
                 }
             }
-            // Time index: every atom with applied primitives changed at tt.
+            // Planner statistics: every atom with applied primitives changed.
             let changed: std::collections::HashSet<AtomId> = ops.iter().map(|t| t.atom).collect();
             for atom in changed {
-                self.db.note_change(atom, tt)?;
+                self.db.note_change(atom);
             }
             // Value indexes: per touched atom, diff before/after values.
             let touched: Vec<AtomId> = self.overlay.keys().copied().collect();

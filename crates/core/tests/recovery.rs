@@ -464,3 +464,208 @@ fn transient_write_failure_fails_commit_cleanly() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---- recovery under buffer-pool pressure ----
+//
+// A small no-steal pool bounds how many pages may be dirty at once, and
+// recovery dirties pages in three phases: WAL replay, the value-index and
+// time-index rebuilds, and the closing checkpoint. Each phase must flush
+// at pressure points instead of running the pool dry, and a power cut in
+// any of them must leave an image the next open recovers from — in
+// particular a half-written index rebuild, which the next open must redo
+// even though its replay finds every primitive already applied.
+
+const PRESSURE_FRAMES: usize = 128;
+
+fn pressure_cfg() -> DbConfig {
+    DbConfig::default()
+        .store_kind(StoreKind::Split)
+        .buffer_frames(PRESSURE_FRAMES)
+        .sync_policy(SyncPolicy::OnCommit)
+        .checkpoint_interval(0)
+}
+
+/// Indexed attributes of the pressure workload's type. Enough index
+/// entries that rebuilding them dirties more than half the pool, so the
+/// rebuild itself must flush — and can be cut by a power failure.
+const PRESSURE_INDEXES: usize = 5;
+
+fn pressure_tuple(n: i64) -> Tuple {
+    let mut vals: Vec<Value> = (0..PRESSURE_INDEXES as i64)
+        .map(|i| Value::Int((n * 7919 + i * 104_729) % 1_000_003))
+        .collect();
+    vals.push(Value::from(format!("{n:0>60}")));
+    Tuple::new(vals)
+}
+
+/// Builds the crash image: 4,000 atoms checkpointed, then a WAL tail of
+/// update transactions larger than the whole pool, and a crash before any
+/// checkpoint covers it. The image is written through a pool large enough
+/// that the tail never flushes, so recovery on the small pool has to
+/// replay all of it. Returns the image and the expected dump.
+fn pressure_image(dir: &std::path::Path) -> (FaultVfs, AtomTypeId, Vec<String>) {
+    let vfs = FaultVfs::new();
+    let big_pool = pressure_cfg().buffer_frames(8192);
+    let db = Database::open_with_vfs(dir, big_pool, Arc::new(vfs.clone())).unwrap();
+    let mut attrs: Vec<AttrDef> = (0..PRESSURE_INDEXES)
+        .map(|i| AttrDef::new(format!("k{i}"), DataType::Int).indexed())
+        .collect();
+    attrs.push(AttrDef::new("note", DataType::Text));
+    let ty = db.define_atom_type("wide", attrs).unwrap();
+    let mut atoms = Vec::new();
+    for chunk in 0..80 {
+        let mut txn = db.begin();
+        for i in 0..50 {
+            let n = chunk * 50 + i;
+            atoms.push(
+                txn.insert_atom(ty, Interval::all(), pressure_tuple(n))
+                    .unwrap(),
+            );
+        }
+        txn.commit().unwrap();
+    }
+    db.checkpoint().unwrap();
+    for round in 0..3i64 {
+        for (c, chunk) in atoms.chunks(50).enumerate() {
+            let mut txn = db.begin();
+            for (i, a) in chunk.iter().enumerate() {
+                let n = 10_000 * (round + 1) + (c * 50 + i) as i64;
+                txn.update(*a, Interval::all(), pressure_tuple(n)).unwrap();
+            }
+            txn.commit().unwrap();
+        }
+    }
+    assert!(
+        db.wal_len() > (PRESSURE_FRAMES * 8192) as u64,
+        "the WAL tail must outgrow the pool ({} bytes)",
+        db.wal_len()
+    );
+    let want = dump(&db, ty);
+    db.crash();
+    vfs.reset_after_crash();
+    (vfs, ty, want)
+}
+
+/// Opens on `vfs` in a helper thread; `None` when it did not return in
+/// time (a failed open must report its error, never hang). The thread is
+/// detached on purpose: a hung open cannot be joined.
+fn open_bounded(dir: &std::path::Path, vfs: &FaultVfs) -> Option<tcom_core::Result<Database>> {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (dir, vfs) = (dir.to_path_buf(), vfs.clone());
+    std::thread::spawn(move || {
+        let _ = tx.send(Database::open_with_vfs(&dir, pressure_cfg(), Arc::new(vfs)));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(r) => Some(r),
+        Err(RecvTimeoutError::Timeout) => None,
+        Err(RecvTimeoutError::Disconnected) => panic!("open panicked"),
+    }
+}
+
+/// The time index answers every `ASOF TT` slice exactly like per-atom
+/// chain walks, and the value index agrees with the stores.
+fn assert_indexes_equivalent(db: &Database, ty: AtomTypeId, ctx: &str) {
+    let atoms = db.all_atoms(ty).unwrap();
+    let now = db.now().0;
+    let mut tts: Vec<TimePoint> = (0..=4).map(|q| TimePoint(1 + (now - 1) * q / 4)).collect();
+    tts.push(TimePoint::FOREVER);
+    for tt in tts {
+        let mut sliced = Vec::new();
+        db.slice_at(ty, tt, &mut |no, vs| {
+            sliced.push((no, vs));
+            Ok(true)
+        })
+        .unwrap();
+        let walk_tt = if tt.is_forever() { db.now() } else { tt };
+        let walked: Vec<_> = atoms
+            .iter()
+            .map(|a| (a.no, db.versions_at(*a, walk_tt).unwrap()))
+            .filter(|(_, vs)| !vs.is_empty())
+            .collect();
+        assert!(
+            sliced == walked,
+            "{ctx}: time-index slice at {tt:?} differs"
+        );
+    }
+    let report = db.verify_integrity().unwrap();
+    assert!(report.is_ok(), "{ctx}: {:?}", report.violations);
+}
+
+#[test]
+fn recovery_under_pool_pressure_survives_power_cuts() {
+    let dir = tmpdir("pressure");
+    let (image, ty, want) = pressure_image(&dir);
+
+    // Unfaulted reopen: the window of mutation ops recovery performs.
+    let golden = image.fork();
+    let start = golden.mut_ops();
+    let db = open_bounded(&dir, &golden)
+        .expect("recovery hung")
+        .expect("recovery on a pressured pool must succeed");
+    let end = golden.mut_ops();
+    assert_eq!(dump(&db, ty), want);
+    assert_indexes_equivalent(&db, ty, "golden");
+    drop(db);
+    assert!(end - start > 100, "recovery must flush under pressure");
+
+    // Power cuts spread over replay, the index rebuilds and the final
+    // checkpoint; every reopen after the cut must recover the same state.
+    let points = (24 / crash_sample()).max(8);
+    let step = ((end - start) / points).max(1);
+    let mut j = start + step / 2;
+    while j < end {
+        let vfs = image.fork();
+        vfs.power_cut_at(j);
+        match open_bounded(&dir, &vfs).expect("a failed open must return, not hang") {
+            Ok(db) => panic!("open survived a power cut at op {j}: {}", db.now()),
+            Err(_) => assert!(vfs.crashed(), "cut at op {j} must fire"),
+        }
+        vfs.reset_after_crash();
+        let db = open_bounded(&dir, &vfs)
+            .expect("recovery hung")
+            .unwrap_or_else(|e| panic!("reopen after a cut at op {j} failed: {e}"));
+        assert!(
+            dump(&db, ty) == want,
+            "cut at op {j}: recovered state differs"
+        );
+        assert_indexes_equivalent(&db, ty, &format!("cut at op {j}"));
+        drop(db);
+        j += step;
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An I/O error during replay makes `open` return that error promptly:
+/// the half-recovered database must not run its shutdown checkpoint,
+/// which would wait forever for commits recovery never published.
+#[test]
+fn failed_open_returns_its_error() {
+    let dir = tmpdir("open-err");
+    let (image, ty, want) = pressure_image(&dir);
+    let golden = image.fork();
+    let start = golden.mut_ops();
+    drop(open_bounded(&dir, &golden).unwrap().unwrap());
+    let end = golden.mut_ops();
+    // A tenth into the window, replay of a WAL tail larger than the pool
+    // is still flushing; from there on every write fails.
+    let vfs = image.fork();
+    let mut sched = tcom_core::FaultSchedule::default();
+    for op in start + (end - start) / 10..end + 64 {
+        sched.on_mutation.insert(op, Fault::FailWrite);
+    }
+    vfs.set_schedule(sched);
+    let r = open_bounded(&dir, &vfs).expect("open must return instead of hanging in its drop");
+    assert!(
+        matches!(r, Err(tcom_core::Error::FaultInjected(_))),
+        "{:?}",
+        r.map(|db| db.now())
+    );
+    // With the faults gone the same image recovers normally.
+    vfs.set_schedule(tcom_core::FaultSchedule::default());
+    let db = open_bounded(&dir, &vfs).unwrap().unwrap();
+    assert!(dump(&db, ty) == want);
+    assert_indexes_equivalent(&db, ty, "after a failed open");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -7,7 +7,7 @@ use tcom_core::algebra::AggStep;
 use tcom_core::batch::{aggregate_batch, coalesce_batch, join_batches, value_integral};
 use tcom_core::{Database, Molecule, ReadView, Txn, VersionBatch};
 use tcom_kernel::{AtomId, AttrId, DataType, Error, Interval, Result, TimePoint, Tuple, Value};
-use tcom_storage::keys::encode_value;
+use tcom_storage::keys::{encode_float, encode_value};
 use tcom_version::record::AtomVersion;
 
 /// Clamps a statement's `ASOF TT` point to the pinned view: `FOREVER` and
@@ -751,54 +751,72 @@ fn validate_expr(
     }
 }
 
-/// Walks the top-level AND chain for an indexable conjunct.
-fn find_index_conjunct(e: &Expr, ty: &AtomTypeDef) -> Option<AccessPath> {
+/// Plans a value-index probe for a filter. The first top-level AND
+/// conjunct that compares an indexed attribute with a literal of the
+/// attribute's type picks the attribute; every such conjunct on that
+/// attribute then narrows the probed range, so `k >= a AND k < b` probes
+/// `[a, b - 1]`. The range admits every match (callers re-check the whole
+/// filter) and may be empty (`lo > hi`) when the conjuncts contradict.
+pub(crate) fn find_index_conjunct(e: &Expr, ty: &AtomTypeDef) -> Option<AccessPath> {
+    let mut bounds = Vec::new();
+    index_bounds(e, ty, &mut bounds);
+    let &(attr, ..) = bounds.first()?;
+    let (lo, hi) = bounds
+        .iter()
+        .filter(|b| b.0 == attr)
+        .fold((0, u64::MAX), |(lo, hi), b| (lo.max(b.1), hi.min(b.2)));
+    Some(AccessPath::IndexRange { attr, lo, hi })
+}
+
+/// Collects the inclusive encoded range of every indexable conjunct on
+/// the top-level AND chain, in conjunct order.
+fn index_bounds(e: &Expr, ty: &AtomTypeDef, out: &mut Vec<(AttrId, u64, u64)>) {
     match e {
-        Expr::And(a, b) => find_index_conjunct(a, ty).or_else(|| find_index_conjunct(b, ty)),
-        Expr::Cmp(l, op, r) => {
-            // Normalize to attr <op> literal.
-            let (attr_name, op, lit) = match (l, r) {
-                (Operand::Attr { attr, .. }, Operand::Lit(v)) => (attr, *op, v),
-                (Operand::Lit(v), Operand::Attr { attr, .. }) => (attr, flip(*op), v),
-                _ => return None,
-            };
-            let (attr_id, def) = ty.attr_by_name(attr_name)?;
-            if !def.indexed {
-                return None;
-            }
-            let enc = encode_value(lit)?;
-            let path = match op {
-                CmpOp::Eq => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: enc,
-                    hi: enc,
-                },
-                CmpOp::Lt => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: 0,
-                    hi: enc.checked_sub(1)?,
-                },
-                CmpOp::Le => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: 0,
-                    hi: enc,
-                },
-                CmpOp::Gt => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: enc.checked_add(1)?,
-                    hi: u64::MAX,
-                },
-                CmpOp::Ge => AccessPath::IndexRange {
-                    attr: attr_id,
-                    lo: enc,
-                    hi: u64::MAX,
-                },
-                CmpOp::Ne => return None,
-            };
-            Some(path)
+        Expr::And(a, b) => {
+            index_bounds(a, ty, out);
+            index_bounds(b, ty, out);
         }
-        _ => None,
+        Expr::Cmp(l, op, r) => out.extend(index_bound(l, *op, r, ty)),
+        _ => {}
     }
+}
+
+/// The inclusive encoded range an `attr <op> literal` comparison admits,
+/// when the attribute is indexed and the literal has its type (a literal
+/// of another type compares by value, not by encoding).
+fn index_bound(
+    l: &Operand,
+    op: CmpOp,
+    r: &Operand,
+    ty: &AtomTypeDef,
+) -> Option<(AttrId, u64, u64)> {
+    let (attr_name, op, lit) = match (l, r) {
+        (Operand::Attr { attr, .. }, Operand::Lit(v)) => (attr, op, v),
+        (Operand::Lit(v), Operand::Attr { attr, .. }) => (attr, flip(op), v),
+        _ => return None,
+    };
+    let (attr_id, def) = ty.attr_by_name(attr_name)?;
+    if !def.indexed || !lit.matches_type(&def.ty) {
+        return None;
+    }
+    let enc = encode_value(lit)?;
+    // The literal's codes: the two zeros compare equal but encode apart,
+    // and a text shares its 8-byte prefix code with every string that
+    // extends it, so a strict bound must not step past that code.
+    let (first, last, strict) = match lit {
+        Value::Float(f) if *f == 0.0 => (encode_float(-0.0), encode_float(0.0), true),
+        Value::Text(_) => (enc, enc, false),
+        _ => (enc, enc, true),
+    };
+    let (lo, hi) = match op {
+        CmpOp::Eq => (first, last),
+        CmpOp::Lt if strict => (0, first.checked_sub(1)?),
+        CmpOp::Lt | CmpOp::Le => (0, last),
+        CmpOp::Gt if strict => (last.checked_add(1)?, u64::MAX),
+        CmpOp::Gt | CmpOp::Ge => (first, u64::MAX),
+        CmpOp::Ne => return None,
+    };
+    Some((attr_id, lo, hi))
 }
 
 fn flip(op: CmpOp) -> CmpOp {

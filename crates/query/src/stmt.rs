@@ -31,7 +31,7 @@
 //! transaction.
 
 use crate::ast::{Expr, Valid};
-use crate::exec::{eval, QueryOutput};
+use crate::exec::{eval, find_index_conjunct, AccessPath, QueryOutput};
 use crate::token::{lex, Kw, Sym, Tok, Token};
 use tcom_catalog::AttrDef;
 use tcom_core::{Database, Txn};
@@ -430,6 +430,16 @@ fn valid_to_interval(valid: Option<(TimePoint, Option<TimePoint>)>) -> Result<In
 /// satisfies the filter and overlaps the statement's valid extent, as seen
 /// *by the transaction*: committed atoms plus atoms the transaction
 /// created, each through the transaction's overlay (read-your-writes).
+///
+/// The access path mirrors a keyed SELECT's. The type's commit stripe is
+/// taken first, so no other commit to the type can land between the
+/// lookup and this transaction's apply. Committed candidates then come
+/// from a value-index probe when a conjunct is indexable (a directory
+/// scan otherwise); the transaction's own touched atoms of the type are
+/// added, since the index reflects committed values only. The filter is
+/// re-checked on every candidate's overlay tuples, and candidates are
+/// visited in atom-number order, so targets — and the WAL records they
+/// produce — come out in the same order whichever path found them.
 fn qualifying_slices(
     db: &Database,
     txn: &mut Txn<'_>,
@@ -439,16 +449,16 @@ fn qualifying_slices(
     def: &tcom_catalog::AtomTypeDef,
 ) -> Result<Vec<(AtomId, Interval, Tuple)>> {
     let window = valid_to_interval(*valid)?;
-    let mut atoms = db.all_atoms(ty)?;
-    // Atoms inserted by this transaction are not in the committed
-    // directory yet; append them, keeping atom-number order deterministic.
-    let committed: std::collections::HashSet<AtomId> = atoms.iter().copied().collect();
-    atoms.extend(
-        txn.touched_atoms()
-            .into_iter()
-            .filter(|a| a.ty == ty && !committed.contains(a)),
-    );
-    atoms.sort_by_key(|a| a.no);
+    txn.lock_type(ty)?;
+    let mut atoms = match filter.as_ref().and_then(|f| find_index_conjunct(f, def)) {
+        Some(AccessPath::IndexRange { attr, lo, hi }) => {
+            db.index_range_inclusive(ty, attr, lo, hi)?
+        }
+        _ => db.all_atoms(ty)?,
+    };
+    atoms.extend(txn.touched_atoms().into_iter().filter(|a| a.ty == ty));
+    atoms.sort_unstable_by_key(|a| a.no);
+    atoms.dedup();
     let mut out = Vec::new();
     for atom in atoms {
         for v in txn.current_versions(atom)? {

@@ -527,6 +527,62 @@ impl BTree {
         self.set_root(level[0].1)
     }
 
+    /// Makes the tree hold exactly `want` (sorted by key, keys unique):
+    /// entries missing from `want` are removed, missing or differing ones
+    /// are written, and agreeing ones are left alone, so a tree that
+    /// already matches dirties no page. `between` runs after every `batch`
+    /// mutations, with no page of the tree pinned; a no-steal owner
+    /// flushes there. Each mutation is a complete tree operation, so any
+    /// flush persists a well-formed tree. Returns the mutation count.
+    pub fn reconcile(
+        &self,
+        want: &[(BKey, u64)],
+        batch: usize,
+        between: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<u64> {
+        debug_assert!(want.windows(2).all(|w| w[0].0 < w[1].0));
+        let have = self.range_vec(BKey::MIN, BKey::MAX)?;
+        let (mut h, mut w) = (have.iter().peekable(), want.iter().peekable());
+        let mut ops: Vec<(BKey, Option<u64>)> = Vec::new();
+        loop {
+            match (h.peek(), w.peek()) {
+                (None, None) => break,
+                (Some(&&(hk, _)), None) => {
+                    ops.push((hk, None));
+                    h.next();
+                }
+                (None, Some(&&(wk, wv))) => {
+                    ops.push((wk, Some(wv)));
+                    w.next();
+                }
+                (Some(&&(hk, hv)), Some(&&(wk, wv))) => {
+                    if hk < wk {
+                        ops.push((hk, None));
+                        h.next();
+                    } else {
+                        if hk > wk || hv != wv {
+                            ops.push((wk, Some(wv)));
+                        }
+                        if hk == wk {
+                            h.next();
+                        }
+                        w.next();
+                    }
+                }
+            }
+        }
+        for chunk in ops.chunks(batch.max(1)) {
+            for &(k, v) in chunk {
+                match v {
+                    Some(v) => self.insert(k, v).map(drop)?,
+                    None => self.remove(k).map(drop)?,
+                }
+            }
+            between()?;
+        }
+        Ok(ops.len() as u64)
+    }
+
     /// Every node page of the subtree rooted at `pid` (pre-order).
     fn collect_pages(&self, pid: PageId, out: &mut Vec<PageId>) -> Result<()> {
         out.push(pid);
@@ -822,6 +878,40 @@ mod tests {
         assert!(t.range_vec(BKey::MIN, BKey::MAX).unwrap().is_empty());
         t.insert(k(7), 7).unwrap();
         assert_eq!(t.get(k(7)).unwrap(), Some(7));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reconcile_touches_only_the_difference() {
+        let (t, path) = tree("reconcile", 64);
+        let t = t.with_fanout(4, 4);
+        for i in 0..300u64 {
+            t.insert(k(i), i).unwrap();
+        }
+        let mut calls = 0;
+        let mut want: Vec<(BKey, u64)> = (0..300u64).map(|i| (k(i), i)).collect();
+        assert_eq!(t.reconcile(&want, 8, &mut || Ok(())).unwrap(), 0);
+        // Drop every third key, revalue every fifth, add a tail.
+        want.retain(|(key, _)| key.hi % 3 != 0);
+        for e in want.iter_mut().filter(|(key, _)| key.hi % 5 == 0) {
+            e.1 += 1000;
+        }
+        want.extend((300..340u64).map(|i| (k(i), i)));
+        let changed = t
+            .reconcile(&want, 8, &mut || {
+                calls += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(changed, 100 + 40 + 40);
+        assert_eq!(calls, (changed as usize).div_ceil(8));
+        assert_eq!(t.range_vec(BKey::MIN, BKey::MAX).unwrap(), want);
+        assert_eq!(t.len().unwrap(), want.len() as u64);
+        assert_eq!(
+            t.reconcile(&[], 8, &mut || Ok(())).unwrap(),
+            want.len() as u64
+        );
+        assert!(t.is_empty().unwrap());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -257,6 +257,33 @@ impl FaultVfs {
         st.schedule = FaultSchedule::default();
     }
 
+    /// An independent file system holding this one's durable bytes, with
+    /// the operation counters carried over and nothing armed — one crash
+    /// image can then be reopened many times, each fork with its own
+    /// fault schedule.
+    pub fn fork(&self) -> FaultVfs {
+        let st = self.state.lock();
+        let files = st
+            .files
+            .iter()
+            .map(|(path, f)| {
+                let image = FileState {
+                    current: f.durable.clone(),
+                    durable: f.durable.clone(),
+                };
+                (path.clone(), image)
+            })
+            .collect();
+        FaultVfs {
+            state: Arc::new(Mutex::new(FaultState {
+                files,
+                mut_ops: st.mut_ops,
+                read_ops: st.read_ops,
+                ..FaultState::default()
+            })),
+        }
+    }
+
     /// Order-independent hash of every file's durable content — two runs
     /// of the same workload under the same schedule must agree on this.
     pub fn durable_fingerprint(&self) -> u64 {

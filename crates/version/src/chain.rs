@@ -15,11 +15,11 @@
 use crate::record::{AtomVersion, Payload, VersionRecord};
 use crate::segment::SegmentSet;
 use crate::store::{
-    dir_get, dir_scan, dir_set, emit_slice, filter_at_tt, sort_by_vt, sort_history, tt_visible,
-    StoreKind, StoreObs, StoreStats, VersionStore,
+    changed_in_via_records, dir_get, dir_scan, dir_set, emit_slice, filter_at_tt, sort_by_vt,
+    sort_history, tt_visible, StoreKind, StoreObs, StoreStats, VersionStore,
 };
 use crate::timeindex::TimeIndex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use tcom_kernel::{AtomNo, Error, Interval, RecordId, Result, TimePoint, Tuple};
 use tcom_storage::btree::BTree;
@@ -308,8 +308,8 @@ impl VersionStore for ChainStore {
         emit_slice(groups, f)
     }
 
-    fn rebuild_time_index(&self) -> Result<()> {
-        self.tix.clear()?;
+    fn rebuild_time_index(&self, between: &mut dyn FnMut() -> Result<()>) -> Result<()> {
+        let mut entries = Vec::new();
         self.heap.scan(|rid, bytes| {
             let rec = VersionRecord::decode(bytes)?;
             let open = rec.is_current();
@@ -318,12 +318,14 @@ impl VersionStore for ChainStore {
             } else {
                 rec.tt.end().0
             };
-            self.tix.insert(open, rec.tt.start(), rid.pack(), payload)?;
+            entries.push((open, rec.tt.start(), rid.pack(), payload));
             Ok(true)
         })?;
-        // `clear` deletes lazily and the re-inserts land back in the old
-        // sparse node structure; repack so the rebuilt index scans dense.
-        self.tix.compact()
+        self.tix.reconcile(entries, between).map(drop)
+    }
+
+    fn changed_in(&self, window: Interval, atoms: &mut BTreeSet<u64>) -> Result<()> {
+        changed_in_via_records(&self.tix, &self.heap, &self.segs, window, atoms)
     }
 
     fn compact_time_index(&self) -> Result<()> {
@@ -571,7 +573,7 @@ mod tests {
         assert_eq!(slice(&s, TimePoint::FOREVER), sweep(&s, TimePoint::FOREVER));
         assert_eq!(slice(&s, TimePoint::FOREVER).len(), 3);
         // A rebuild from the heap reproduces the incrementally-kept index.
-        s.rebuild_time_index().unwrap();
+        s.rebuild_time_index(&mut || Ok(())).unwrap();
         for tt in [1u64, 3] {
             assert_eq!(slice(&s, TimePoint(tt)), sweep(&s, TimePoint(tt)));
         }

@@ -22,10 +22,11 @@
 use crate::record::{AtomVersion, Payload, TupleDelta, VersionRecord};
 use crate::segment::SegmentSet;
 use crate::store::{
-    dir_get, dir_scan, dir_set, filter_at_tt, sort_by_vt, sort_history, StoreKind, StoreObs,
-    StoreStats, VersionStore,
+    changed_in_via_records, dir_get, dir_scan, dir_set, filter_at_tt, sort_by_vt, sort_history,
+    StoreKind, StoreObs, StoreStats, VersionStore,
 };
 use crate::timeindex::TimeIndex;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use tcom_kernel::{AtomNo, Error, Interval, RecordId, Result, TimePoint, Tuple};
 use tcom_storage::btree::BTree;
@@ -352,7 +353,6 @@ impl VersionStore for DeltaStore {
         // Delta reconstruction needs the chain anyway, so the index yields a
         // candidate *atom set* (over-approximate for the closed partition)
         // and each candidate answers through the ordinary walk.
-        use std::collections::BTreeSet;
         let mut atoms: BTreeSet<u64> = BTreeSet::new();
         self.tix.scan(true, tt, &mut |e| {
             atoms.insert(e.payload);
@@ -379,17 +379,18 @@ impl VersionStore for DeltaStore {
         Ok(())
     }
 
-    fn rebuild_time_index(&self) -> Result<()> {
-        self.tix.clear()?;
+    fn rebuild_time_index(&self, between: &mut dyn FnMut() -> Result<()>) -> Result<()> {
+        let mut entries = Vec::new();
         self.heap.scan(|rid, bytes| {
             let rec = VersionRecord::decode(bytes)?;
-            self.tix
-                .insert(rec.is_current(), rec.tt.start(), rid.pack(), rec.atom_no.0)?;
+            entries.push((rec.is_current(), rec.tt.start(), rid.pack(), rec.atom_no.0));
             Ok(true)
         })?;
-        // `clear` deletes lazily and the re-inserts land back in the old
-        // sparse node structure; repack so the rebuilt index scans dense.
-        self.tix.compact()
+        self.tix.reconcile(entries, between).map(drop)
+    }
+
+    fn changed_in(&self, window: Interval, atoms: &mut BTreeSet<u64>) -> Result<()> {
+        changed_in_via_records(&self.tix, &self.heap, &self.segs, window, atoms)
     }
 
     fn compact_time_index(&self) -> Result<()> {
@@ -617,7 +618,7 @@ mod tests {
             .unwrap();
             assert_eq!(sliced, swept, "tt={tt:?}");
         }
-        s.rebuild_time_index().unwrap();
+        s.rebuild_time_index(&mut || Ok(())).unwrap();
         let mut after = Vec::new();
         s.slice_at(TimePoint(3), &mut |no, vs| {
             after.push((no.0, vs.len()));

@@ -29,11 +29,12 @@
 //! mutates an existing segment.
 
 use crate::record::AtomVersion;
+use crate::store::changed_within;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 use tcom_kernel::codec::{crc32c, Decoder, Encoder};
-use tcom_kernel::{AtomNo, Error, Result, TimePoint};
+use tcom_kernel::{AtomNo, Error, Interval, Result, TimePoint};
 use tcom_obs::Counter;
 use tcom_storage::buffer::{BufferPool, FileId};
 use tcom_storage::disk::DiskManager;
@@ -234,6 +235,12 @@ impl BlockFence {
     pub fn admits_atom(&self, no: AtomNo) -> bool {
         self.atom_min <= no.0 && no.0 <= self.atom_max
     }
+
+    /// True iff a version that started or ended inside `window` may be in
+    /// this block.
+    pub fn admits_change_in(&self, window: &Interval) -> bool {
+        self.tt_min < window.end() && window.start() <= self.tt_max
+    }
 }
 
 /// Segment-global summary: fences over all blocks plus size totals.
@@ -276,6 +283,12 @@ impl SegmentFooter {
     /// True iff atom `no` may have versions anywhere in the segment.
     pub fn admits_atom(&self, no: AtomNo) -> bool {
         self.blocks.iter().any(|b| b.admits_atom(no))
+    }
+
+    /// True iff any block may hold a version that started or ended inside
+    /// `window`.
+    pub fn admits_change_in(&self, window: &Interval) -> bool {
+        self.blocks.iter().any(|b| b.admits_change_in(window))
     }
 
     /// Encodes the footer (without its trailing crc — the meta page holds
@@ -628,6 +641,22 @@ impl Segment {
         Ok(())
     }
 
+    /// Collects the atoms with an archived version that started or ended
+    /// inside `window` (exact, not fence-approximate).
+    pub fn changed_in(&self, window: &Interval, atoms: &mut BTreeSet<u64>) -> Result<()> {
+        for fence in &self.footer.blocks {
+            if !fence.admits_change_in(window) {
+                continue;
+            }
+            for (n, v) in self.read_block(fence)? {
+                if changed_within(&v.tt, window) {
+                    atoms.insert(n);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Collects the atom numbers that have at least one version visible at
     /// `tt` (exact, not fence-approximate).
     pub fn visible_atoms(&self, tt: TimePoint, atoms: &mut BTreeSet<u64>) -> Result<()> {
@@ -780,6 +809,20 @@ impl SegmentSet {
             if seg.footer().admits_tt(tt) {
                 self.reads.inc();
                 seg.slice_into(tt, groups)?;
+            } else {
+                self.skips.inc();
+            }
+        }
+        Ok(())
+    }
+
+    /// Collects atoms with an archived version that started or ended
+    /// inside `window`.
+    pub fn changed_in(&self, window: &Interval, atoms: &mut BTreeSet<u64>) -> Result<()> {
+        for seg in self.list() {
+            if seg.footer().admits_change_in(window) {
+                self.reads.inc();
+                seg.changed_in(window, atoms)?;
             } else {
                 self.skips.inc();
             }

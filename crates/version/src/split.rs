@@ -20,7 +20,7 @@ use crate::store::{
     StoreObs, StoreStats, VersionStore,
 };
 use crate::timeindex::TimeIndex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tcom_kernel::codec::{Decoder, Encoder};
 use tcom_kernel::{AtomNo, Error, Interval, RecordId, Result, TimePoint, Tuple};
@@ -465,30 +465,45 @@ impl VersionStore for SplitStore {
         emit_slice(groups, f)
     }
 
-    fn rebuild_time_index(&self) -> Result<()> {
-        self.tix.clear()?;
+    fn rebuild_time_index(&self, between: &mut dyn FnMut() -> Result<()>) -> Result<()> {
         let mut atoms = Vec::new();
         dir_scan(&self.cur_dir, &mut |no| {
             atoms.push(no);
             Ok(true)
         })?;
+        let mut entries = Vec::new();
         for no in atoms {
             let Some((_, set)) = self.load_current(no)? else {
                 continue;
             };
             for (_, tt_start, _) in &set.entries {
-                self.tix.insert(true, *tt_start, no.0, no.0)?;
+                entries.push((true, *tt_start, no.0, no.0));
             }
         }
         self.hist_heap.scan(|rid, bytes| {
             let rec = VersionRecord::decode(bytes)?;
-            self.tix
-                .insert(false, rec.tt.start(), rid.pack(), rec.tt.end().0)?;
+            entries.push((false, rec.tt.start(), rid.pack(), rec.tt.end().0));
             Ok(true)
         })?;
-        // `clear` deletes lazily and the re-inserts land back in the old
-        // sparse node structure; repack so the rebuilt index scans dense.
-        self.tix.compact()
+        self.tix.reconcile(entries, between).map(drop)
+    }
+
+    fn changed_in(&self, window: Interval, atoms: &mut BTreeSet<u64>) -> Result<()> {
+        // Open entries carry the atom number; closed ones carry `tt_end`,
+        // so only their history records that did change need a read.
+        let mut rids = Vec::new();
+        self.tix.scan_window(window, &mut |open, e| {
+            if open {
+                atoms.insert(e.payload);
+            } else if window.contains(e.tt_start) || window.contains(TimePoint(e.payload)) {
+                rids.push(RecordId::unpack(e.lo));
+            }
+        })?;
+        for rid in rids {
+            let rec = self.hist_heap.with_record(rid, VersionRecord::decode)??;
+            atoms.insert(rec.atom_no.0);
+        }
+        self.segs.changed_in(&window, atoms)
     }
 
     fn compact_time_index(&self) -> Result<()> {
@@ -733,7 +748,7 @@ mod tests {
         // FOREVER == current state: the deleted atom 2 is absent.
         let cur = slice(TimePoint::FOREVER);
         assert_eq!(cur.iter().map(|(n, _)| *n).collect::<Vec<_>>(), vec![1, 5]);
-        s.rebuild_time_index().unwrap();
+        s.rebuild_time_index(&mut || Ok(())).unwrap();
         assert_eq!(slice(TimePoint(6)), sweep(TimePoint(6)));
         cleanup(&paths);
     }

@@ -8,12 +8,15 @@
 //! access speed, past-access speed and storage consumption against each
 //! other; comparing them is the heart of the reproduced evaluation.
 
-use crate::record::AtomVersion;
+use crate::record::{AtomVersion, VersionRecord};
 use crate::segment::SegmentSet;
+use crate::timeindex::TimeIndex;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use tcom_kernel::{AtomNo, Interval, RecordId, Result, TimePoint, Tuple};
 use tcom_obs::Counter;
 use tcom_storage::btree::BTree;
+use tcom_storage::heap::HeapFile;
 use tcom_storage::keys::BKey;
 
 /// Which storage format a store implements.
@@ -200,9 +203,19 @@ pub trait VersionStore: Send + Sync {
         f: &mut dyn FnMut(AtomNo, Vec<AtomVersion>) -> Result<bool>,
     ) -> Result<()>;
 
-    /// Drops and rebuilds the transaction-time interval index from the
-    /// store's heaps (recovery / consistency repair).
-    fn rebuild_time_index(&self) -> Result<()>;
+    /// Rebuilds the transaction-time interval index from the store's
+    /// heaps (recovery / consistency repair): derives every entry, then
+    /// writes only the ones the index gets wrong. `between` runs between
+    /// batches of index writes with no page pinned, so a no-steal pool
+    /// owner can flush there and a rebuild never needs more dirty frames
+    /// than one batch.
+    fn rebuild_time_index(&self, between: &mut dyn FnMut() -> Result<()>) -> Result<()>;
+
+    /// Adds to `atoms` every atom with a stored version (heap or segment)
+    /// whose transaction time started or ended inside `window`. Answered
+    /// from the transaction-time index, reading the version record where
+    /// an entry doesn't carry the atom number or the end time.
+    fn changed_in(&self, window: Interval, atoms: &mut BTreeSet<u64>) -> Result<()>;
 
     /// Repacks the transaction-time index into dense nodes. Index
     /// deletion is lazy, so a segment swap that extracts most closed
@@ -273,6 +286,34 @@ pub(crate) fn tt_visible(tt_iv: &Interval, tt: TimePoint) -> bool {
     } else {
         tt_iv.contains(tt)
     }
+}
+
+/// True iff a version with transaction time `tt` started or ended inside
+/// `window` (the change predicate of [`VersionStore::changed_in`]).
+pub(crate) fn changed_within(tt: &Interval, window: &Interval) -> bool {
+    window.contains(tt.start()) || window.contains(tt.end())
+}
+
+/// [`VersionStore::changed_in`] for stores whose index `lo` word is the
+/// heap record id in both partitions (chain, delta): every candidate is
+/// resolved through its record, which carries the atom number and both
+/// transaction-time bounds.
+pub(crate) fn changed_in_via_records(
+    tix: &TimeIndex,
+    heap: &HeapFile,
+    segs: &SegmentSet,
+    window: Interval,
+    atoms: &mut BTreeSet<u64>,
+) -> Result<()> {
+    let mut rids = Vec::new();
+    tix.scan_window(window, &mut |_, e| rids.push(RecordId::unpack(e.lo)))?;
+    for rid in rids {
+        let rec = heap.with_record(rid, VersionRecord::decode)??;
+        if changed_within(&rec.tt, &window) {
+            atoms.insert(rec.atom_no.0);
+        }
+    }
+    segs.changed_in(&window, atoms)
 }
 
 /// Shared helper: filters to versions visible at transaction time `tt`.

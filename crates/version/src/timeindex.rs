@@ -24,14 +24,22 @@
 //! maintained transactionally by `insert_version` / `close_version` /
 //! `prune`; because the engine's buffer pool is no-steal and flushes
 //! through the double-write journal, heap and index pages always reach
-//! disk as one consistent snapshot, and recovery additionally rebuilds
-//! the index from the heaps after any WAL replay.
+//! disk as one consistent snapshot, and recovery additionally reconciles
+//! the index with the heaps whenever the WAL held committed work.
+//!
+//! This is the engine's only transaction-time index: the change queries
+//! (`VersionStore::changed_in`) read it too, resolving entries whose
+//! words don't carry the atom number through the version record.
 
 use std::sync::Arc;
-use tcom_kernel::{Result, TimePoint};
+use tcom_kernel::{Interval, Result, TimePoint};
 use tcom_storage::btree::BTree;
 use tcom_storage::buffer::{BufferPool, FileId};
 use tcom_storage::keys::{decode_tt_start, encode_tt_key, tt_scan_bounds, BKey};
+
+/// Index mutations between two `between` calls of a rebuild: small enough
+/// that one batch dirties a handful of pages even on a tiny pool.
+const RECONCILE_BATCH: usize = 64;
 
 /// One entry surfaced by a [`TimeIndex`] scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,19 +118,47 @@ impl TimeIndex {
         })
     }
 
-    /// Deletes every entry (the first half of a rebuild — the tree file
-    /// cannot be reformatted in place, so the keys are removed one by one;
-    /// lazy deletion makes this cheap).
-    pub fn clear(&self) -> Result<()> {
-        let mut keys = Vec::new();
-        self.tree.scan_range(BKey::MIN, BKey::MAX, |k, _| {
-            keys.push(k);
+    /// Calls `f` with every entry whose version may have started or ended
+    /// inside `window`: open entries that started in it, and closed
+    /// entries that started before its end (the caller checks their
+    /// `tt_end`, which only some stores keep in the payload). The flag
+    /// tells the partition.
+    pub fn scan_window(
+        &self,
+        window: Interval,
+        f: &mut dyn FnMut(bool, TimeIndexEntry),
+    ) -> Result<()> {
+        let last = TimePoint(window.end().0 - 1);
+        self.scan(true, last, &mut |e| {
+            if e.tt_start >= window.start() {
+                f(true, e);
+            }
             Ok(true)
         })?;
-        for k in keys {
-            self.tree.remove(k)?;
-        }
-        Ok(())
+        self.scan(false, last, &mut |e| {
+            f(false, e);
+            Ok(true)
+        })
+    }
+
+    /// Makes the index hold exactly `entries` (`(open, tt_start, lo,
+    /// payload)`, any order; duplicate keys collapse) — the rebuild
+    /// primitive. Only differing entries are written, so an index that
+    /// already agrees with its heaps dirties no page; `between` runs after
+    /// every batch of mutations with no page pinned (see
+    /// [`BTree::reconcile`]). Returns the number of entries changed.
+    pub fn reconcile(
+        &self,
+        entries: Vec<(bool, TimePoint, u64, u64)>,
+        between: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<u64> {
+        let mut want: Vec<(BKey, u64)> = entries
+            .into_iter()
+            .map(|(open, tt_start, lo, payload)| (encode_tt_key(open, tt_start, lo), payload))
+            .collect();
+        want.sort_unstable_by_key(|e| e.0);
+        want.dedup_by_key(|e| e.0);
+        self.tree.reconcile(&want, RECONCILE_BATCH, between)
     }
 
     /// Repacks the index into dense B⁺-tree nodes. Deletion is lazy, so
@@ -193,19 +229,27 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_the_index() {
-        let (ix, p) = index("clear");
+    fn reconcile_rebuilds_both_partitions() {
+        let (ix, p) = index("reconcile");
         for t in 0..50u64 {
             ix.insert(t % 2 == 0, TimePoint(t), t, t).unwrap();
         }
-        assert_eq!(ix.len().unwrap(), 50);
-        ix.clear().unwrap();
+        // A stale entry, a wrong payload and a missing one get repaired;
+        // the duplicate open key collapses.
+        ix.insert(false, TimePoint(99), 1, 1).unwrap();
+        let mut want: Vec<(bool, TimePoint, u64, u64)> = (0..50u64)
+            .map(|t| (t % 2 == 0, TimePoint(t), t, if t == 7 { 70 } else { t }))
+            .collect();
+        want.push((true, TimePoint(60), 5, 5));
+        want.push((true, TimePoint(60), 5, 5));
+        assert_eq!(ix.reconcile(want.clone(), &mut || Ok(())).unwrap(), 3);
+        assert_eq!(ix.len().unwrap(), 51);
+        assert!(collect(&ix, false, u64::MAX).contains(&(7, 7, 70)));
+        assert!(collect(&ix, true, u64::MAX).contains(&(60, 5, 5)));
+        assert!(!collect(&ix, false, u64::MAX).contains(&(99, 1, 1)));
+        assert_eq!(ix.reconcile(want, &mut || Ok(())).unwrap(), 0);
+        ix.reconcile(Vec::new(), &mut || Ok(())).unwrap();
         assert!(ix.is_empty().unwrap());
-        assert_eq!(collect(&ix, true, u64::MAX), vec![]);
-        assert_eq!(collect(&ix, false, u64::MAX), vec![]);
-        // Reusable after a clear (rebuild path).
-        ix.insert(false, TimePoint(1), 2, 3).unwrap();
-        assert_eq!(collect(&ix, false, u64::MAX), vec![(1, 2, 3)]);
         let _ = std::fs::remove_file(p);
     }
 
